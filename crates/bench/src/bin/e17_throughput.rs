@@ -44,10 +44,12 @@ use relstore::{
     Value,
 };
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wdoc_bench::{emit, wall_clock, write_json_file, WallClock};
-use wdoc_dist::{broadcast_object, BroadcastTree};
+use wdoc_dist::broadcast::Relay;
+use wdoc_dist::{broadcast_object, BroadcastReport, BroadcastTree};
 
 const WARMUP: u32 = 1;
 const RUNS: u32 = 5;
@@ -180,18 +182,61 @@ struct BroadcastCell {
     speedup: Option<f64>,
 }
 
+/// The pre-overhaul relay: [`broadcast_object`]'s store-and-forward
+/// body relay, except that every child send carries a fresh copy of
+/// the body instead of a refcount bump.
+fn broadcast_object_copied(
+    net: &mut Network<Relay>,
+    tree: &BroadcastTree,
+    body: &Bytes,
+) -> BroadcastReport {
+    let relay = |net: &mut Network<Relay>, pos: u64, body: &Bytes| {
+        let src = tree.station_at(pos).expect("position exists");
+        for child in tree.children_of(pos) {
+            let dst = tree.station_at(child).expect("child exists");
+            let copy = Bytes::copy_from_slice(body);
+            net.send_body(src, dst, Relay { position: child }, copy);
+        }
+    };
+    let mut arrivals = BTreeMap::new();
+    relay(net, 1, body);
+    net.run(|net, msg| {
+        arrivals.insert(msg.dst.0, net.now());
+        let body = msg.body.expect("object broadcast always carries a body");
+        relay(net, msg.payload.position, &body);
+    });
+    net.flush_metrics();
+    let max_station_tx = tree
+        .broadcast_vector()
+        .iter()
+        .map(|&s| net.station_stats(s).tx_bytes)
+        .max()
+        .unwrap_or(0);
+    BroadcastReport {
+        completion: net.last_delivery(),
+        arrivals,
+        total_bytes: net.total_bytes(),
+        max_station_tx,
+        height: tree.height(),
+    }
+}
+
 fn broadcast_once(
     n: usize,
     m: u64,
     body_bytes: usize,
     kind: QueueKind,
     deep_copy: bool,
-) -> (wdoc_dist::BroadcastReport, String) {
+) -> (BroadcastReport, String) {
     let (mut net, ids) =
         Network::uniform_with_queue(n, LinkSpec::new(1_000_000, SimTime::from_millis(1)), kind);
     let tree = BroadcastTree::new(ids, m);
     let body = Bytes::from(vec![0xAB; body_bytes]);
-    let report = broadcast_object(&mut net, &tree, &body, deep_copy);
+    let report = if deep_copy {
+        broadcast_object_copied(&mut net, &tree, &body)
+    } else {
+        broadcast_object(&mut net, &tree, &body)
+    };
     let snapshot = net.metrics().snapshot().to_json();
     (report, snapshot)
 }

@@ -15,7 +15,7 @@
 
 use crate::tree::BroadcastTree;
 use bytes::Bytes;
-use netsim::{Network, ParNet, SimTime, StationId};
+use netsim::{Network, SimTime, StationId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -83,101 +83,32 @@ fn send_to_children(net: &mut Network<Relay>, tree: &BroadcastTree, pos: u64, by
     }
 }
 
-/// [`broadcast`] on the island-parallel engine: the same store-and-
-/// forward relay, with each island's deliveries handled on its own
-/// worker thread. The relay handler is purely station-local (on
-/// delivery at a station, forward from that station to its tree
-/// children), so it parallelizes without any shared state; the report
-/// and — after the flush [`finish`] performs — the obs snapshot are
-/// byte-identical to the sequential [`broadcast`] for every island
-/// count and thread count.
-pub fn broadcast_par(
-    net: &mut ParNet<Relay>,
-    tree: &BroadcastTree,
-    object_bytes: u64,
-    threads: usize,
-) -> BroadcastReport {
-    // Root "has" the object; kick off sends to its children.
-    let root_src = tree.station_at(1).expect("root exists");
-    for child in tree.children_of(1) {
-        let dst = tree.station_at(child).expect("child exists");
-        net.send(root_src, dst, object_bytes, Relay { position: child });
-    }
-    let per_island: Vec<BTreeMap<u32, SimTime>> = vec![BTreeMap::new(); net.islands()];
-    let per_island = net.run(threads, per_island, |ctx, arrivals, msg| {
-        arrivals.insert(msg.dst.0, ctx.now());
-        // msg.dst is the station at msg.payload.position — island-local
-        // by delivery, so it may relay from here.
-        for child in tree.children_of(msg.payload.position) {
-            let dst = tree.station_at(child).expect("child exists");
-            ctx.send(msg.dst, dst, msg.bytes, Relay { position: child });
-        }
-    });
-    // Each station is delivered on exactly one island: the per-island
-    // maps have disjoint key sets and fold into the same BTreeMap the
-    // sequential run builds.
-    let mut arrivals = BTreeMap::new();
-    for m in per_island {
-        arrivals.extend(m);
-    }
-    net.flush_metrics();
-    let max_station_tx = tree
-        .broadcast_vector()
-        .iter()
-        .map(|&s| net.station_stats(s).tx_bytes)
-        .max()
-        .unwrap_or(0);
-    BroadcastReport {
-        completion: net.last_delivery(),
-        total_bytes: net.total_bytes(),
-        max_station_tx,
-        height: tree.height(),
-        arrivals,
-    }
-}
-
 /// Broadcast an actual object *body* (not just a byte count) down the
 /// tree. Timing, byte accounting and the report are identical to
 /// [`broadcast`] for `object_bytes == body.len()`; what changes is
 /// memory traffic: every relay hop forwards the one refcounted buffer
 /// ([`netsim::Message::body`]), so an m-ary fan-out to N stations
 /// performs zero payload copies.
-///
-/// `deep_copy` is the E17 baseline toggle: when set, each child send
-/// materializes a fresh copy of the body — the behavior of a relay
-/// that clones payload bodies per send.
 pub fn broadcast_object(
     net: &mut Network<Relay>,
     tree: &BroadcastTree,
     body: &Bytes,
-    deep_copy: bool,
 ) -> BroadcastReport {
     let mut arrivals = BTreeMap::new();
-    send_body_to_children(net, tree, 1, body, deep_copy);
+    send_body_to_children(net, tree, 1, body);
     net.run(|net, msg| {
         arrivals.insert(msg.dst.0, net.now());
         let body = msg.body.expect("object broadcast always carries a body");
-        send_body_to_children(net, tree, msg.payload.position, &body, deep_copy);
+        send_body_to_children(net, tree, msg.payload.position, &body);
     });
     finish(net, tree, arrivals)
 }
 
-fn send_body_to_children(
-    net: &mut Network<Relay>,
-    tree: &BroadcastTree,
-    pos: u64,
-    body: &Bytes,
-    deep_copy: bool,
-) {
+fn send_body_to_children(net: &mut Network<Relay>, tree: &BroadcastTree, pos: u64, body: &Bytes) {
     let src = tree.station_at(pos).expect("position exists");
     for child in tree.children_of(pos) {
         let dst = tree.station_at(child).expect("child exists");
-        let b = if deep_copy {
-            Bytes::copy_from_slice(body)
-        } else {
-            body.clone()
-        };
-        net.send_body(src, dst, Relay { position: child }, b);
+        net.send_body(src, dst, Relay { position: child }, body.clone());
     }
 }
 
@@ -247,22 +178,6 @@ pub fn broadcast_uniform(
     broadcast(&mut net, &tree, object_bytes)
 }
 
-/// Convenience: [`broadcast_par`] on a fresh uniform network split into
-/// `islands` islands. The uplink latency must be nonzero when
-/// `islands > 1` — cross-island lookahead comes from it.
-pub fn broadcast_par_uniform(
-    n: usize,
-    m: u64,
-    object_bytes: u64,
-    uplink: netsim::LinkSpec,
-    islands: usize,
-    threads: usize,
-) -> BroadcastReport {
-    let (mut net, ids) = ParNet::uniform(n, uplink, islands);
-    let tree = BroadcastTree::new(ids, m);
-    broadcast_par(&mut net, &tree, object_bytes, threads)
-}
-
 /// Convenience: run the star baseline on a fresh uniform network.
 #[must_use]
 pub fn star_uniform(n: usize, object_bytes: u64, uplink: netsim::LinkSpec) -> BroadcastReport {
@@ -317,17 +232,21 @@ pub fn broadcast_course(
     for (oi, _) in objects.iter().enumerate() {
         relay_children(net, &trees[oi], objects, oi, 1);
     }
-    let mut per_kind: BTreeMap<String, SimTime> = BTreeMap::new();
+    // Latest arrival per object; deliveries pop in time order, so the
+    // last one seen is the latest.
+    let mut latest: Vec<Option<SimTime>> = vec![None; objects.len()];
     net.run(|net, msg| {
         let CourseRelay { object, position } = msg.payload;
-        let label = objects[object].kind.label().to_owned();
-        let now = net.now();
-        per_kind
-            .entry(label)
-            .and_modify(|t| *t = (*t).max(now))
-            .or_insert(now);
+        latest[object] = Some(net.now());
         relay_children(net, &trees[object], objects, object, position);
     });
+    let mut per_kind: BTreeMap<String, SimTime> = BTreeMap::new();
+    for (o, t) in objects.iter().zip(latest) {
+        if let Some(t) = t {
+            let e = per_kind.entry(o.kind.label().to_owned()).or_insert(t);
+            *e = (*e).max(t);
+        }
+    }
     CourseBroadcastReport {
         completion: net.last_delivery(),
         per_kind,
@@ -366,40 +285,6 @@ mod tests {
 
     fn lan() -> LinkSpec {
         LinkSpec::new(MB, SimTime::ZERO) // 1 MB/s, no latency: clean math
-    }
-
-    // Parallel runs need nonzero latency: the cross-island lookahead is
-    // derived from the slowest link, and a zero-latency topology has no
-    // safe window to run islands independently in.
-    fn wan() -> LinkSpec {
-        LinkSpec::new(MB, SimTime::from_millis(3))
-    }
-
-    #[test]
-    fn parallel_broadcast_matches_sequential() {
-        for (n, m) in [(2usize, 1u64), (17, 2), (50, 3), (64, 8)] {
-            let seq = broadcast_uniform(n, m, 123_457, wan());
-            for (islands, threads) in [(1usize, 1usize), (3, 2), (8, 4)] {
-                let par = broadcast_par_uniform(n, m, 123_457, wan(), islands, threads);
-                assert_eq!(seq, par, "n={n} m={m} islands={islands} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_broadcast_matches_sequential_metrics() {
-        let n = 40;
-        let (mut snet, ids) = Network::uniform(n, wan());
-        let tree = BroadcastTree::new(ids, 4);
-        broadcast(&mut snet, &tree, 77_000);
-        let seq_snap = snet.metrics().snapshot().to_json();
-
-        let (mut pnet, ids) = ParNet::uniform(n, wan(), 5);
-        let tree = BroadcastTree::new(ids, 4);
-        broadcast_par(&mut pnet, &tree, 77_000, 3);
-        let par_snap = pnet.metrics().snapshot().to_json();
-
-        assert_eq!(seq_snap, par_snap, "obs snapshots must be byte-identical");
     }
 
     #[test]
@@ -492,16 +377,14 @@ mod tests {
     #[test]
     fn object_broadcast_matches_byte_count_broadcast() {
         // Same tree, same size: carrying a real body must not change
-        // timing, accounting or arrival order — shared or deep-copied.
+        // timing, accounting or arrival order.
         let n = 32;
         let by_count = broadcast_uniform(n, 3, MB, lan());
-        for deep in [false, true] {
-            let (mut net, ids) = Network::uniform(n, lan());
-            let tree = BroadcastTree::new(ids, 3);
-            let body = Bytes::from(vec![0xAB; MB as usize]);
-            let r = broadcast_object(&mut net, &tree, &body, deep);
-            assert_eq!(r, by_count, "deep_copy={deep}");
-        }
+        let (mut net, ids) = Network::uniform(n, lan());
+        let tree = BroadcastTree::new(ids, 3);
+        let body = Bytes::from(vec![0xAB; MB as usize]);
+        let r = broadcast_object(&mut net, &tree, &body);
+        assert_eq!(r, by_count);
     }
 
     #[test]
@@ -510,16 +393,16 @@ mod tests {
         let tree = BroadcastTree::new(ids.clone(), 4);
         let body = Bytes::from(vec![1u8; 10_000]);
         let origin = body.as_ref().as_ptr();
-        broadcast_object(&mut net, &tree, &body, false);
+        broadcast_object(&mut net, &tree, &body);
         // Re-run observing delivered bodies: every station's copy is
         // the original allocation.
         let (mut net2, ids2) = Network::uniform(16, lan());
         let tree2 = BroadcastTree::new(ids2, 4);
-        send_body_to_children(&mut net2, &tree2, 1, &body, false);
+        send_body_to_children(&mut net2, &tree2, 1, &body);
         net2.run(|net, msg| {
             let b = msg.body.expect("body");
             assert!(std::ptr::eq(b.as_ref().as_ptr(), origin));
-            send_body_to_children(net, &tree2, msg.payload.position, &b, false);
+            send_body_to_children(net, &tree2, msg.payload.position, &b);
         });
         assert_eq!(net2.total_bytes(), net.total_bytes());
     }

@@ -374,14 +374,12 @@ impl<T> EventQueue<T> {
     /// Schedule `item` at time `at` with a caller-supplied tie-break
     /// key: among events at the same time, smaller keys pop first.
     ///
-    /// [`push`] derives its key from a queue-internal push counter,
-    /// which makes tie order depend on *global* push order — fine for a
-    /// single queue, but not reproducible when the same logical event
-    /// stream is split across several queues (the parallel simulator's
-    /// islands). Callers that need partition-independent ordering mint
-    /// their own keys (netsim packs `(source station, per-source
-    /// counter)`) and must not mix keyed and unkeyed pushes in one
-    /// queue.
+    /// [`push`] derives its key from a queue-internal push counter, so
+    /// ties pop in global push order. netsim mints its own keys instead
+    /// (`(source station, per-source counter)` packed into one `u64`),
+    /// which orders ties by source station and then by that station's
+    /// own history. Callers must not mix keyed and unkeyed pushes in
+    /// one queue.
     ///
     /// [`push`]: EventQueue::push
     pub fn push_keyed(&mut self, at: SimTime, key: u64, item: T) {

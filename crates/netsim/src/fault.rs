@@ -136,12 +136,6 @@ impl FaultSchedule {
         self.events.sort_by_key(|&(at, _)| at);
         self.events
     }
-
-    /// Raw events in insertion order (for the parallel engine's
-    /// lookahead bound, which must account for scheduled Degrades).
-    pub(crate) fn events(&self) -> &[(SimTime, Fault)] {
-        &self.events
-    }
 }
 
 /// Error returned by [`Network::try_send`](crate::Network::try_send).
@@ -164,7 +158,7 @@ impl std::error::Error for SendError {}
 /// Live fault state inside a running [`Network`](crate::Network):
 /// the un-applied tail of the schedule plus overlays and the "cut
 /// clocks" that decide in-flight drops in O(1) per delivery.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct FaultState {
     /// Remaining schedule, sorted by time; `cursor` indexes the next
     /// event to apply.

@@ -34,7 +34,6 @@
 
 pub mod event;
 pub mod fault;
-pub mod parallel;
 pub mod sim;
 pub mod time;
 pub mod topology;
@@ -42,7 +41,6 @@ pub mod topology;
 pub use bytes::Bytes;
 pub use event::{EventQueue, QueueKind};
 pub use fault::{Fault, FaultSchedule, SendError};
-pub use parallel::{IslandCtx, ParNet, Partition};
 pub use sim::{Message, Network};
 pub use time::SimTime;
 pub use topology::{LinkSpec, StationId, StationStats, Topology};

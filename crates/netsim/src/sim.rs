@@ -68,27 +68,24 @@ pub struct Message<P> {
 
 /// Internal queue entry: the message plus what the fault layer needs to
 /// decide, at delivery time, whether the transfer survived.
-pub(crate) struct Envelope<P> {
-    pub(crate) msg: Message<P>,
+struct Envelope<P> {
+    msg: Message<P>,
     /// When the send was issued (fault cut clocks compare against it).
-    pub(crate) sent_at: SimTime,
+    sent_at: SimTime,
     /// The path was already cut (or the receiver down) at send time.
-    pub(crate) doomed: bool,
+    doomed: bool,
 }
 
 /// Always-on metric accumulators that exist only for the observability
 /// layer (everything else is derived from the simulator's own counters
 /// at flush time). Plain fields: updating one costs what updating
-/// `total_bytes` costs. Every field is a sum or a lossless-mergeable
-/// histogram, so per-island accumulators from the parallel engine merge
-/// into exactly the sequential totals.
-#[derive(Clone)]
-pub(crate) struct MetricAccum {
-    pub(crate) send_doomed: u64,
-    pub(crate) drop_in_flight: u64,
-    pub(crate) drop_sender_down: u64,
-    pub(crate) timers: u64,
-    pub(crate) latency: Histogram,
+/// `total_bytes` costs.
+struct MetricAccum {
+    send_doomed: u64,
+    drop_in_flight: u64,
+    drop_sender_down: u64,
+    timers: u64,
+    latency: Histogram,
 }
 
 impl MetricAccum {
@@ -103,224 +100,19 @@ impl MetricAccum {
     }
 }
 
-/// Everything the simulator accumulates as traffic flows: delivery and
-/// drop totals plus the observability accumulators. Split out of
-/// [`Network`] so the sequential engine and the parallel engine's
-/// islands run the *same* send/deliver/flush code (`prepare_send`,
-/// `deliver`, `flush_netsim_metrics`) over the same state shape —
-/// byte-identical results are then a property of event order alone.
-#[derive(Clone)]
-pub(crate) struct Flows {
-    pub(crate) total_bytes: u64,
-    pub(crate) total_msgs: u64,
-    pub(crate) last_delivery: SimTime,
-    pub(crate) dropped_msgs: u64,
-    pub(crate) dropped_bytes: u64,
-    pub(crate) accum: MetricAccum,
-}
-
-impl Flows {
-    pub(crate) fn new() -> Self {
-        Flows {
-            total_bytes: 0,
-            total_msgs: 0,
-            last_delivery: SimTime::ZERO,
-            dropped_msgs: 0,
-            dropped_bytes: 0,
-            accum: MetricAccum::new(),
-        }
-    }
-
-    /// Fold another island's flows into this one. Sums and histogram
-    /// merges only — order-independent by construction.
-    pub(crate) fn absorb(&mut self, other: &Flows) {
-        self.total_bytes += other.total_bytes;
-        self.total_msgs += other.total_msgs;
-        self.last_delivery = self.last_delivery.max(other.last_delivery);
-        self.dropped_msgs += other.dropped_msgs;
-        self.dropped_bytes += other.dropped_bytes;
-        self.accum.send_doomed += other.accum.send_doomed;
-        self.accum.drop_in_flight += other.accum.drop_in_flight;
-        self.accum.drop_sender_down += other.accum.drop_sender_down;
-        self.accum.timers += other.accum.timers;
-        self.accum.latency.merge_from(&other.accum.latency);
-    }
-}
-
-/// Compute the uplink-serialization timing of a send, charge the
-/// sender's station counters, and mint the partition-independent
-/// tie-break key. Returns `(arrival, key, envelope)` for the caller to
-/// enqueue; the caller must have advanced the fault state to `now`
-/// first.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_send<P>(
-    topo: &mut Topology,
-    faults: Option<&FaultState>,
-    flows: &mut Flows,
-    now: SimTime,
-    src: StationId,
-    dst: StationId,
-    bytes: u64,
-    payload: P,
-    body: Option<Bytes>,
-) -> Result<(SimTime, u64, Envelope<P>), SendError> {
-    let (path, doomed) = match faults {
-        None => (topo.path(src, dst), false),
-        Some(f) => {
-            if f.is_down(src) {
-                return Err(SendError::SenderDown(src));
-            }
-            (f.apply(src, dst, topo.path(src, dst)), f.dooms(src, dst))
-        }
-    };
-    let s = &mut topo.stations[src.0 as usize];
-    let start = s.uplink_free.max(now);
-    let serialize = SimTime::transfer(bytes, path.bandwidth);
-    let done = start + serialize;
-    s.uplink_free = done;
-    s.busy += serialize;
-    s.tx_bytes += bytes;
-    s.tx_msgs += 1;
-    let key = (u64::from(src.0) << 32) | u64::from(s.seq);
-    s.seq += 1;
-    let arrival = done + path.latency;
-    if doomed {
-        flows.accum.send_doomed += 1;
-    }
-    Ok((
-        arrival,
-        key,
-        Envelope {
-            msg: Message {
-                src,
-                dst,
-                bytes,
-                payload,
-                body,
-            },
-            sent_at: now,
-            doomed,
-        },
-    ))
-}
-
-/// Timer variant of [`prepare_send`]: no bandwidth, key minted from the
-/// owning station's counter. Returns the clamped fire time, key and
-/// envelope.
-pub(crate) fn prepare_timer<P>(
-    topo: &mut Topology,
-    faults: Option<&FaultState>,
-    flows: &mut Flows,
-    now: SimTime,
-    station: StationId,
-    at: SimTime,
-    payload: P,
-) -> (SimTime, u64, Envelope<P>) {
-    let doomed = faults.is_some_and(|f| f.is_down(station));
-    let at = at.max(now);
-    flows.accum.timers += 1;
-    let s = &mut topo.stations[station.0 as usize];
-    let key = (u64::from(station.0) << 32) | u64::from(s.seq);
-    s.seq += 1;
-    (
-        at,
-        key,
-        Envelope {
-            msg: Message {
-                src: station,
-                dst: station,
-                bytes: 0,
-                payload,
-                body: None,
-            },
-            sent_at: now,
-            doomed,
-        },
-    )
-}
-
-/// Apply the delivery-time fault checks to a popped envelope and charge
-/// the receiver's counters. The caller must have advanced the fault
-/// state to `at` first. `None` means the message was dropped.
-pub(crate) fn deliver<P>(
-    at: SimTime,
-    env: Envelope<P>,
-    faults: Option<&FaultState>,
-    topo: &mut Topology,
-    flows: &mut Flows,
-) -> Option<Message<P>> {
-    if let Some(f) = faults {
-        if env.doomed || f.cut_since(env.msg.src, env.msg.dst, env.sent_at) {
-            flows.dropped_msgs += 1;
-            flows.dropped_bytes += env.msg.bytes;
-            flows.accum.drop_in_flight += 1;
-            return None;
-        }
-    }
-    let d = &mut topo.stations[env.msg.dst.0 as usize];
-    d.rx_bytes += env.msg.bytes;
-    d.rx_msgs += 1;
-    flows.total_bytes += env.msg.bytes;
-    flows.total_msgs += 1;
-    flows.last_delivery = at;
-    flows.accum.latency.record((at - env.sent_at).as_micros());
-    Some(env.msg)
-}
-
-/// Export accumulated `netsim.*` metrics into `m` with idempotent
-/// `*_set` primitives. Shared verbatim by [`Network::flush_metrics`]
-/// and the parallel engine's merged flush.
-pub(crate) fn flush_netsim_metrics<'a>(
-    m: &Registry,
-    now: SimTime,
-    stations: impl Iterator<Item = &'a crate::topology::StationState>,
-    flows: &Flows,
-) {
-    if !m.is_enabled() {
-        return;
-    }
-    let elapsed = now.as_micros();
-    let mut tx_msgs = 0u64;
-    let mut tx_bytes = 0u64;
-    let mut busy_us = 0u64;
-    let mut util = Histogram::new(obs::buckets::PCT);
-    for s in stations {
-        tx_msgs += s.tx_msgs;
-        tx_bytes += s.tx_bytes;
-        busy_us += s.busy.as_micros();
-        if let Some(pct) = (s.busy.as_micros() * 100).checked_div(elapsed) {
-            util.record(pct);
-        }
-    }
-    m.counter_set("netsim.send.msgs", tx_msgs);
-    m.counter_set("netsim.send.bytes", tx_bytes);
-    m.counter_set("netsim.send.doomed", flows.accum.send_doomed);
-    m.counter_set("netsim.uplink.busy_us", busy_us);
-    m.counter_set("netsim.deliver.msgs", flows.total_msgs);
-    m.counter_set("netsim.deliver.bytes", flows.total_bytes);
-    m.counter_set("netsim.drop.msgs", flows.dropped_msgs);
-    m.counter_set("netsim.drop.bytes", flows.dropped_bytes);
-    m.counter_set("netsim.drop.in_flight", flows.accum.drop_in_flight);
-    m.counter_set("netsim.drop.sender_down", flows.accum.drop_sender_down);
-    m.counter_set("netsim.timer.scheduled", flows.accum.timers);
-    m.gauge_set(
-        "netsim.deliver.last_us",
-        flows.last_delivery.as_micros() as i64,
-    );
-    m.histogram_set("netsim.deliver.latency_us", &flows.accum.latency);
-    if elapsed > 0 {
-        m.histogram_set("netsim.uplink.utilization_pct", &util);
-    }
-}
-
 /// The discrete-event network simulator.
 pub struct Network<P> {
     topo: Topology,
     queue: EventQueue<Envelope<P>>,
     now: SimTime,
+    total_bytes: u64,
+    total_msgs: u64,
+    last_delivery: SimTime,
     faults: Option<FaultState>,
+    dropped_msgs: u64,
+    dropped_bytes: u64,
     metrics: Registry,
-    flows: Flows,
+    accum: MetricAccum,
 }
 
 impl<P> Network<P> {
@@ -340,9 +132,14 @@ impl<P> Network<P> {
             topo,
             queue: EventQueue::with_kind(kind),
             now: SimTime::ZERO,
+            total_bytes: 0,
+            total_msgs: 0,
+            last_delivery: SimTime::ZERO,
             faults: None,
+            dropped_msgs: 0,
+            dropped_bytes: 0,
             metrics: Registry::new(),
-            flows: Flows::new(),
+            accum: MetricAccum::new(),
         }
     }
 
@@ -422,13 +219,13 @@ impl<P> Network<P> {
     /// doomed sends, and sends refused because the sender was down).
     #[must_use]
     pub fn dropped_msgs(&self) -> u64 {
-        self.flows.dropped_msgs
+        self.dropped_msgs
     }
 
     /// Bytes dropped by fault injection so far.
     #[must_use]
     pub fn dropped_bytes(&self) -> u64 {
-        self.flows.dropped_bytes
+        self.dropped_bytes
     }
 
     fn advance_faults(&mut self, now: SimTime) {
@@ -447,9 +244,9 @@ impl<P> Network<P> {
         match self.try_send_inner(src, dst, bytes, payload, None) {
             Ok(at) => at,
             Err(SendError::SenderDown(_)) => {
-                self.flows.dropped_msgs += 1;
-                self.flows.dropped_bytes += bytes;
-                self.flows.accum.drop_sender_down += 1;
+                self.dropped_msgs += 1;
+                self.dropped_bytes += bytes;
+                self.accum.drop_sender_down += 1;
                 self.now
             }
         }
@@ -470,9 +267,9 @@ impl<P> Network<P> {
         match self.try_send_inner(src, dst, bytes, payload, Some(body)) {
             Ok(at) => at,
             Err(SendError::SenderDown(_)) => {
-                self.flows.dropped_msgs += 1;
-                self.flows.dropped_bytes += bytes;
-                self.flows.accum.drop_sender_down += 1;
+                self.dropped_msgs += 1;
+                self.dropped_bytes += bytes;
+                self.accum.drop_sender_down += 1;
                 self.now
             }
         }
@@ -501,17 +298,43 @@ impl<P> Network<P> {
         body: Option<Bytes>,
     ) -> Result<SimTime, SendError> {
         self.advance_faults(self.now);
-        let (arrival, key, env) = prepare_send(
-            &mut self.topo,
-            self.faults.as_ref(),
-            &mut self.flows,
-            self.now,
-            src,
-            dst,
-            bytes,
-            payload,
-            body,
-        )?;
+        let (path, doomed) = match &self.faults {
+            None => (self.topo.path(src, dst), false),
+            Some(f) => {
+                if f.is_down(src) {
+                    return Err(SendError::SenderDown(src));
+                }
+                (
+                    f.apply(src, dst, self.topo.path(src, dst)),
+                    f.dooms(src, dst),
+                )
+            }
+        };
+        let s = &mut self.topo.stations[src.0 as usize];
+        let start = s.uplink_free.max(self.now);
+        let serialize = SimTime::transfer(bytes, path.bandwidth);
+        let done = start + serialize;
+        s.uplink_free = done;
+        s.busy += serialize;
+        s.tx_bytes += bytes;
+        s.tx_msgs += 1;
+        let key = (u64::from(src.0) << 32) | u64::from(s.seq);
+        s.seq += 1;
+        let arrival = done + path.latency;
+        if doomed {
+            self.accum.send_doomed += 1;
+        }
+        let env = Envelope {
+            msg: Message {
+                src,
+                dst,
+                bytes,
+                payload,
+                body,
+            },
+            sent_at: self.now,
+            doomed,
+        };
         // The sender's uplink serializes transfers, so per-source
         // arrivals are (almost always) nondecreasing: route the event
         // through the uplink's queue lane.
@@ -528,15 +351,23 @@ impl<P> Network<P> {
     /// volatile state.
     pub fn schedule(&mut self, station: StationId, at: SimTime, payload: P) {
         self.advance_faults(self.now);
-        let (at, key, env) = prepare_timer(
-            &mut self.topo,
-            self.faults.as_ref(),
-            &mut self.flows,
-            self.now,
-            station,
-            at,
-            payload,
-        );
+        let doomed = self.faults.as_ref().is_some_and(|f| f.is_down(station));
+        let at = at.max(self.now);
+        self.accum.timers += 1;
+        let s = &mut self.topo.stations[station.0 as usize];
+        let key = (u64::from(station.0) << 32) | u64::from(s.seq);
+        s.seq += 1;
+        let env = Envelope {
+            msg: Message {
+                src: station,
+                dst: station,
+                bytes: 0,
+                payload,
+                body: None,
+            },
+            sent_at: self.now,
+            doomed,
+        };
         self.queue.push_keyed(at, key, env);
     }
 
@@ -547,16 +378,21 @@ impl<P> Network<P> {
             self.now = at;
             if let Some(f) = &mut self.faults {
                 f.advance(at, &self.metrics);
+                if env.doomed || f.cut_since(env.msg.src, env.msg.dst, env.sent_at) {
+                    self.dropped_msgs += 1;
+                    self.dropped_bytes += env.msg.bytes;
+                    self.accum.drop_in_flight += 1;
+                    continue;
+                }
             }
-            if let Some(msg) = deliver(
-                at,
-                env,
-                self.faults.as_ref(),
-                &mut self.topo,
-                &mut self.flows,
-            ) {
-                return Some(msg);
-            }
+            let d = &mut self.topo.stations[env.msg.dst.0 as usize];
+            d.rx_bytes += env.msg.bytes;
+            d.rx_msgs += 1;
+            self.total_bytes += env.msg.bytes;
+            self.total_msgs += 1;
+            self.last_delivery = at;
+            self.accum.latency.record((at - env.sent_at).as_micros());
+            return Some(env.msg);
         }
         None
     }
@@ -600,19 +436,19 @@ impl<P> Network<P> {
     /// Total bytes delivered so far.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.flows.total_bytes
+        self.total_bytes
     }
 
     /// Total messages delivered so far.
     #[must_use]
     pub fn total_msgs(&self) -> u64 {
-        self.flows.total_msgs
+        self.total_msgs
     }
 
     /// Time of the most recent delivery.
     #[must_use]
     pub fn last_delivery(&self) -> SimTime {
-        self.flows.last_delivery
+        self.last_delivery
     }
 
     /// Per-station counters.
@@ -639,12 +475,42 @@ impl<P> Network<P> {
     /// counting. Only the rare `netsim.fault.*` counters and trace
     /// events are written as faults are applied, not here.
     pub fn flush_metrics(&self) {
-        flush_netsim_metrics(
-            &self.metrics,
-            self.now,
-            self.topo.stations.iter(),
-            &self.flows,
+        let m = &self.metrics;
+        if !m.is_enabled() {
+            return;
+        }
+        let elapsed = self.now.as_micros();
+        let mut tx_msgs = 0u64;
+        let mut tx_bytes = 0u64;
+        let mut busy_us = 0u64;
+        let mut util = Histogram::new(obs::buckets::PCT);
+        for s in &self.topo.stations {
+            tx_msgs += s.tx_msgs;
+            tx_bytes += s.tx_bytes;
+            busy_us += s.busy.as_micros();
+            if let Some(pct) = (s.busy.as_micros() * 100).checked_div(elapsed) {
+                util.record(pct);
+            }
+        }
+        m.counter_set("netsim.send.msgs", tx_msgs);
+        m.counter_set("netsim.send.bytes", tx_bytes);
+        m.counter_set("netsim.send.doomed", self.accum.send_doomed);
+        m.counter_set("netsim.uplink.busy_us", busy_us);
+        m.counter_set("netsim.deliver.msgs", self.total_msgs);
+        m.counter_set("netsim.deliver.bytes", self.total_bytes);
+        m.counter_set("netsim.drop.msgs", self.dropped_msgs);
+        m.counter_set("netsim.drop.bytes", self.dropped_bytes);
+        m.counter_set("netsim.drop.in_flight", self.accum.drop_in_flight);
+        m.counter_set("netsim.drop.sender_down", self.accum.drop_sender_down);
+        m.counter_set("netsim.timer.scheduled", self.accum.timers);
+        m.gauge_set(
+            "netsim.deliver.last_us",
+            self.last_delivery.as_micros() as i64,
         );
+        m.histogram_set("netsim.deliver.latency_us", &self.accum.latency);
+        if elapsed > 0 {
+            m.histogram_set("netsim.uplink.utilization_pct", &util);
+        }
     }
 
     /// Convenience: build a uniform network of `n` stations.

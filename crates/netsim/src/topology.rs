@@ -83,14 +83,13 @@ pub(crate) struct StationState {
     pub tx_msgs: u64,
     pub rx_msgs: u64,
     /// Events this station has sourced. Packed into the event-queue
-    /// tie-break key `(src << 32) | seq`, which makes tie order a pure
-    /// function of per-station history — identical whether the event
-    /// stream lives in one queue or is partitioned across islands.
+    /// tie-break key `(src << 32) | seq`, so same-time events pop by
+    /// source station, then in that station's own issue order.
     pub seq: u32,
 }
 
 /// The static shape of the network plus per-station counters.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Topology {
     pub(crate) stations: Vec<StationState>,
     pub(crate) links: HashMap<(StationId, StationId), LinkSpec>,

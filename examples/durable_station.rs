@@ -15,11 +15,6 @@
 //! demonstration needs raw engine access and runs in the unsharded
 //! mode only — a sharded crash is exercised end to end by the shard
 //! crate's failover tests.)
-//!
-//! With `--sim-threads N` (N > 1) the recovered station's course
-//! pre-broadcast to the classroom is simulated on the island-parallel
-//! engine with N threads and asserted identical to the sequential
-//! engine's report (the E22 determinism contract).
 
 use mmu_wdoc::core::dbms::DatabaseInfo;
 use mmu_wdoc::core::ids::{DbName, ScriptName, UserId};
@@ -51,16 +46,6 @@ fn arg_shards() -> u32 {
         .position(|a| a == "--shards")
         .and_then(|i| args.get(i + 1))
         .map(|n| n.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1)
-}
-
-/// `--sim-threads N` from the command line (default 1 = sequential).
-fn arg_sim_threads() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--sim-threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|n| n.parse().expect("--sim-threads takes a positive integer"))
         .unwrap_or(1)
 }
 
@@ -158,40 +143,6 @@ fn main() {
     db.add_script(&lecture("proj", "week 5: course project"))
         .unwrap();
     println!("post-recovery commit succeeded — station is back in service");
-
-    // ---- Optional: distribute the recovered course in parallel. ------
-    // The recovered material gets pre-broadcast to a classroom of 32
-    // stations; with --sim-threads N the simulation runs island-
-    // parallel and must reproduce the sequential report exactly.
-    let threads = arg_sim_threads();
-    if threads > 1 {
-        use mmu_wdoc::dist::{broadcast, broadcast_par, BroadcastTree};
-        use mmu_wdoc::netsim::{LinkSpec, Network, ParNet, SimTime};
-        let classroom = 32;
-        let course_bytes = 4 * 900_000; // four lecture scripts' media
-        let link = LinkSpec::new(2_000_000, SimTime::from_millis(4));
-
-        let (mut seq_net, seq_ids) = Network::uniform(classroom, link);
-        let seq_r = broadcast(&mut seq_net, &BroadcastTree::new(seq_ids, 4), course_bytes);
-
-        let (mut par_net, par_ids) = ParNet::uniform(classroom, link, threads);
-        let par_r = broadcast_par(
-            &mut par_net,
-            &BroadcastTree::new(par_ids, 4),
-            course_bytes,
-            threads,
-        );
-        assert_eq!(
-            seq_r, par_r,
-            "parallel engine must match the sequential one"
-        );
-        println!(
-            "distributed the recovered course to {} stations on {threads} sim threads \
-             (completion {}, identical to sequential)",
-            classroom - 1,
-            par_r.completion,
-        );
-    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,27 +6,12 @@
 //! ```sh
 //! cargo run --example lossy_lecture
 //! ```
-//!
-//! With `--sim-threads N` (N > 1) wave 2 is replayed on the
-//! island-parallel simulator with N islands on N worker threads, and
-//! the report is asserted identical to the sequential engine's — the
-//! E22 determinism contract, exercised outside the bench.
 
 use mmu_wdoc::dist::{resilient_broadcast, AdaptiveController, BroadcastTree, RetryPolicy};
-use mmu_wdoc::netsim::{Fault, FaultSchedule, LinkSpec, Network, ParNet, SimTime, StationId};
+use mmu_wdoc::netsim::{Fault, FaultSchedule, LinkSpec, Network, SimTime, StationId};
 
 const STATIONS: usize = 28; // 1 instructor + 27 students
 const LECTURE_BYTES: u64 = 4_000_000;
-
-/// `--sim-threads N` from the command line (default 1 = sequential).
-fn arg_sim_threads() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--sim-threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|n| n.parse().expect("--sim-threads takes a positive integer"))
-        .unwrap_or(1)
-}
 
 fn main() {
     let link = LinkSpec::new(2_000_000, SimTime::from_millis(5));
@@ -111,29 +96,4 @@ fn main() {
         r2.report.completion,
         r2.retries,
     );
-
-    // --- Optional: wave 2 again, on the parallel engine ---------------
-    // Same topology, same tree, same object — the island-parallel
-    // simulator must reproduce the sequential report exactly, however
-    // many threads run it.
-    let threads = arg_sim_threads();
-    if threads > 1 {
-        let (mut seq_net, seq_ids) = Network::uniform(STATIONS, measured);
-        let seq_tree = BroadcastTree::new(seq_ids, m2);
-        let seq_r = mmu_wdoc::dist::broadcast(&mut seq_net, &seq_tree, review_bytes);
-
-        let (mut par_net, par_ids) = ParNet::uniform(STATIONS, measured, threads);
-        let par_tree = BroadcastTree::new(par_ids, m2);
-        let par_r = mmu_wdoc::dist::broadcast_par(&mut par_net, &par_tree, review_bytes, threads);
-
-        assert_eq!(
-            seq_r, par_r,
-            "parallel engine must replay wave 2 identically"
-        );
-        println!(
-            "wave 2 replayed on {threads} islands / {threads} threads: report identical \
-             (completion {}, {} bytes moved)",
-            par_r.completion, par_r.total_bytes,
-        );
-    }
 }

@@ -76,6 +76,29 @@ fn sweep_snapshot_json_with(seed: u64, kind: QueueKind) -> String {
     registry.snapshot().to_json()
 }
 
+/// The plain (store-and-forward) relay under a crash schedule, exported
+/// from its own registry: the relay `broadcast` path, as opposed to
+/// the E13 sweep's `resilient_broadcast`.
+fn plain_sweep_snapshot_json(seed: u64, kind: QueueKind) -> String {
+    let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
+    let registry = Registry::new();
+    for (i, &(p, m)) in [(0.0f64, 2u64), (0.2, 4)].iter().enumerate() {
+        let (mut net, ids) = Network::uniform_with_queue(N, link, kind);
+        net.set_metrics(registry.clone());
+        let horizon = mmu_wdoc::dist::predict_completion(N as u64, m, OBJECT, link).as_micros();
+        net.set_faults(crash_schedule(
+            N,
+            p,
+            horizon,
+            seed.wrapping_add(i as u64 * 7919),
+        ));
+        let tree = BroadcastTree::new(ids, m);
+        let r = mmu_wdoc::dist::broadcast(&mut net, &tree, OBJECT);
+        std::hint::black_box(r);
+    }
+    registry.snapshot().to_json()
+}
+
 #[test]
 fn same_seed_replays_to_byte_identical_snapshots() {
     let a = sweep_snapshot_json(1999);
@@ -99,23 +122,28 @@ fn same_seed_replays_to_byte_identical_snapshots() {
 }
 
 /// PR 5 swapped the simulator's event queue for a timing wheel. The
-/// queue is pure mechanism: the E13-style sweep must export the exact
-/// same bytes whichever implementation schedules its events — the
-/// obs stream cannot depend on how the simulator orders its heap.
+/// queue is pure mechanism: the E13-style sweep and the plain relay
+/// under crashes must each export the exact same bytes whichever
+/// implementation schedules their events — the obs stream cannot
+/// depend on how the simulator orders its heap.
 #[test]
 fn queue_kinds_export_identical_snapshots() {
-    let wheel = sweep_snapshot_json_with(1999, QueueKind::Wheel);
-    let heap = sweep_snapshot_json_with(1999, QueueKind::Heap);
-    assert!(
-        wheel == heap,
-        "snapshot must not depend on the event-queue implementation; \
-         first divergence at byte {}",
-        wheel
-            .bytes()
-            .zip(heap.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or(wheel.len().min(heap.len()))
-    );
+    for sweep in [sweep_snapshot_json_with, plain_sweep_snapshot_json] {
+        let wheel = sweep(1999, QueueKind::Wheel);
+        let heap = sweep(1999, QueueKind::Heap);
+        assert!(wheel.contains("netsim.deliver.bytes"), "non-vacuous");
+        assert!(wheel.contains("netsim.fault.crash"), "faults in the loop");
+        assert!(
+            wheel == heap,
+            "snapshot must not depend on the event-queue implementation; \
+             first divergence at byte {}",
+            wheel
+                .bytes()
+                .zip(heap.bytes())
+                .position(|(x, y)| x != y)
+                .unwrap_or(wheel.len().min(heap.len()))
+        );
+    }
 }
 
 #[test]
@@ -230,93 +258,6 @@ fn delivery_metrics_identical_across_engines() {
             .position(|(x, y)| x != y)
             .unwrap_or(twopl.len().min(mvcc.len()))
     );
-}
-
-// ---------------------------------------------------------------------
-// Parallel-engine dimension (PR 10): thread count is pure mechanism,
-// like the queue kind — the byte-identical contract extends to the
-// island-parallel simulator at every thread count
-// ---------------------------------------------------------------------
-
-/// Sequential oracle for the parallel sweep: the plain (store-and-
-/// forward) broadcast under an optional crash schedule, exported from
-/// its own registry. `resilient_broadcast` stays sequential-only, so
-/// the cross-engine comparison uses the relay broadcast both engines
-/// implement.
-fn plain_sweep_snapshot_json(seed: u64, kind: QueueKind) -> String {
-    let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
-    let registry = Registry::new();
-    for (i, &(p, m)) in [(0.0f64, 2u64), (0.2, 4)].iter().enumerate() {
-        let (mut net, ids) = Network::uniform_with_queue(N, link, kind);
-        net.set_metrics(registry.clone());
-        let horizon = mmu_wdoc::dist::predict_completion(N as u64, m, OBJECT, link).as_micros();
-        net.set_faults(crash_schedule(
-            N,
-            p,
-            horizon,
-            seed.wrapping_add(i as u64 * 7919),
-        ));
-        let tree = BroadcastTree::new(ids, m);
-        let r = mmu_wdoc::dist::broadcast(&mut net, &tree, OBJECT);
-        std::hint::black_box(r);
-    }
-    registry.snapshot().to_json()
-}
-
-/// The same sweep on the island-parallel engine: `islands` islands of
-/// the contiguous partition, `threads` worker threads.
-fn parallel_sweep_snapshot_json(
-    seed: u64,
-    kind: QueueKind,
-    islands: usize,
-    threads: usize,
-) -> String {
-    use mmu_wdoc::netsim::{ParNet, Partition, Topology};
-    let link = LinkSpec::new(1_000_000, SimTime::from_millis(10));
-    let registry = Registry::new();
-    for (i, &(p, m)) in [(0.0f64, 2u64), (0.2, 4)].iter().enumerate() {
-        let mut topo = Topology::new();
-        let ids = topo.add_stations(N, link);
-        let mut net = ParNet::with_queue(topo, Partition::contiguous(N, islands), kind);
-        net.set_metrics(registry.clone());
-        let horizon = mmu_wdoc::dist::predict_completion(N as u64, m, OBJECT, link).as_micros();
-        net.set_faults(crash_schedule(
-            N,
-            p,
-            horizon,
-            seed.wrapping_add(i as u64 * 7919),
-        ));
-        let tree = BroadcastTree::new(ids, m);
-        let r = mmu_wdoc::dist::broadcast_par(&mut net, &tree, OBJECT, threads);
-        std::hint::black_box(r);
-    }
-    registry.snapshot().to_json()
-}
-
-/// The E22 replay gate: snapshots are byte-identical between the
-/// sequential engine and the parallel engine at every thread count in
-/// {1, 2, 4, 8}, for both queue kinds, with a FaultSchedule in the
-/// loop (crashes fire at the same virtual time no matter how many
-/// threads are running islands).
-#[test]
-fn parallel_thread_counts_export_identical_snapshots() {
-    for kind in [QueueKind::Wheel, QueueKind::Heap] {
-        let seq = plain_sweep_snapshot_json(1999, kind);
-        assert!(seq.contains("netsim.deliver.bytes"), "non-vacuous");
-        assert!(seq.contains("netsim.fault.crash"), "faults in the loop");
-        for threads in [1usize, 2, 4, 8] {
-            let par = parallel_sweep_snapshot_json(1999, kind, 8, threads);
-            assert!(
-                seq == par,
-                "{kind:?} threads={threads}: parallel snapshot must equal sequential; \
-                 first divergence at byte {}",
-                seq.bytes()
-                    .zip(par.bytes())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(seq.len().min(par.len()))
-            );
-        }
-    }
 }
 
 /// The replay property holds for the healthy path too (no faults, no
